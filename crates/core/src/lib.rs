@@ -6,24 +6,27 @@
 //! subflows over space — except only one "subflow" is ever active, and
 //! all of them share a single sequence number space.
 //!
-//! * [`TdnState`] — the duplicated per-TDN state sets of §3.1;
-//! * [`TdtcpConnection`] — the connection: TD_CAPABLE negotiation (§4.2),
-//!   out-of-band TDN-change notifications (§3.2), relaxed cross-TDN
-//!   reordering detection (§3.4), per-TDN RTT estimation with pessimistic
-//!   RTO synthesis (§4.4), and the §4.3 current/all/any/specific-TDN
-//!   accounting semantics;
-//! * [`TdtcpConfig`] — configuration, including ablation switches for
-//!   every design decision (per-TDN state, relaxed detection, pessimistic
-//!   RTO) so the benches can quantify each.
+//! The state machine itself is the workspace's one TCP engine,
+//! [`tcp::Connection`], run with one [`TdnState`] set per TDN (§3.1). This
+//! crate holds only what TDTCP adds on top, behind the engine's
+//! [`tcp::TdHooks`] seam:
 //!
-//! The engine implements [`tcp::Transport`], so the `rdcn` emulator
+//! * [`TdtcpConnection`] — the endpoint: TD_CAPABLE negotiation (§4.2),
+//!   gen-tagged out-of-band TDN-change notifications (§3.2), the
+//!   notification watchdog and skew gate, relaxed cross-TDN reordering
+//!   detection (§3.4), pessimistic RTO synthesis (§4.4), and TDN tags on
+//!   the wire;
+//! * [`TdtcpConfig`] / [`WatchdogConfig`] — configuration, including
+//!   ablation switches for every design decision (per-TDN state, relaxed
+//!   detection, pessimistic RTO) so the benches can quantify each.
+//!
+//! The endpoint implements [`tcp::Transport`], so the `rdcn` emulator
 //! drives it exactly like any other variant.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod connection;
-pub mod tdn_state;
 
-pub use connection::{State, TdtcpConfig, TdtcpConnection, WatchdogConfig};
-pub use tdn_state::TdnState;
+pub use connection::{TdtcpConfig, TdtcpConnection, TdtcpHooks, WatchdogConfig};
+pub use tcp::{State, TdnState};

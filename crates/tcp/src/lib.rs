@@ -11,8 +11,10 @@
 //! * receiver reassembly with SACK generation ([`recv::Reassembler`]),
 //! * RTT estimation per RFC 6298 ([`rtt::RttEstimator`]),
 //! * the Linux congestion-avoidance state machine ([`ca::CaState`]),
-//! * RACK-style loss marking and tail-loss probes (in
-//!   [`connection::Connection`]),
+//! * the one TCP state machine, [`connection::Connection`]: RACK-style
+//!   loss marking, tail-loss probes, RTO and persist timers, over a `Vec`
+//!   of per-path state sets ([`TdnState`]) — one for plain TCP, one per
+//!   TDN for TDTCP, which plugs in through the [`TdHooks`] seam,
 //! * pluggable congestion control ([`cc::CongestionControl`]) with Reno,
 //!   CUBIC, DCTCP and reTCP implementations,
 //! * and the [`Transport`] trait the RDCN emulator drives.
@@ -29,6 +31,8 @@ pub mod rtx;
 pub mod segment;
 pub mod seq;
 pub mod stats;
+pub mod td;
+pub mod tdn_state;
 pub mod transport;
 
 pub use ca::CaState;
@@ -37,4 +41,6 @@ pub use connection::{Config, Connection, State};
 pub use segment::{Direction, DssMap, FlowId, SackBlocks, Segment};
 pub use seq::SeqNum;
 pub use stats::ConnStats;
+pub use td::{NoTd, TdHooks};
+pub use tdn_state::TdnState;
 pub use transport::{ConnError, Transport};

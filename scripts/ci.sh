@@ -188,6 +188,11 @@ cargo run -q --offline --release -p bench --bin figures -- quick \
 
 tailgate_check
 
+# The benchmark crate is its own workspace; its digest tests pin the
+# seed-1 outputs of the TDTCP and CUBIC paths through the TCP engine.
+echo "==> perfbench digests (benchmark workloads reproduce their pinned digests)"
+cargo test -q --offline --release --manifest-path perfbench/Cargo.toml --test digests
+
 echo "==> detlint (determinism & layering static analysis)"
 cargo run -q --offline --release -p detlint -- --root . --json target/detlint.json
 
